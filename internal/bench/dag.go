@@ -10,40 +10,20 @@ import (
 	"incranneal/internal/workload"
 )
 
-// PipelineSpec captures the incremental-pipeline CLI flags shared by
-// mqosolve and mqobench (the MiddlewareSpec pattern): how the incremental
-// phase schedules its partial problems. The zero value is the default
-// pipeline — DAG scheduling enabled at the core's density threshold.
-type PipelineSpec struct {
-	// DisableDAG is -dag-parallel=false: force the strictly sequential
-	// chain of Algorithm 2.
-	DisableDAG bool
-	// DAGDensity is -dag-density: the DSS dependency-graph edge density
-	// above which the scheduler falls back to the sequential chain. Zero
-	// keeps the core default (0.5); >= 1 never falls back.
-	DAGDensity float64
-}
-
-// Apply writes the spec into a solve's options.
-func (s PipelineSpec) Apply(opt *core.Options) {
-	opt.DisableDAG = s.DisableDAG
-	opt.DAGDensityThreshold = s.DAGDensity
-}
-
-// AblationDAG compares the incremental phase's execution orders on
+// AblationDAG runs the incremental phase's wave schedule on
 // topology-controlled sparse-DAG instances (workload.GenerateDAGSweep, one
-// partial problem per community): the sequential chain of Algorithm 2, the
-// DAG-parallel wave schedule, and the DSS-off ablation (an edgeless graph —
-// maximal concurrency, no steering). Quality columns (final cost,
-// re-applied savings) must agree bit for bit between sequential and DAG;
+// partial problem per community) serially (Parallelism -1) and in
+// parallel (cfg.Parallelism), next to the DSS-off ablation (an edgeless
+// graph — maximal concurrency, no steering). Quality columns (final cost,
+// re-applied savings) must agree bit for bit between serial and parallel;
 // the wall columns show what the dependency slack buys.
 func AblationDAG(ctx context.Context, cfg Config, scale Scale) (*Report, error) {
 	cfg = cfg.withDefaults()
 	r := &Report{
 		ID:      "ablation-dag",
-		Title:   "Incremental phase: sequential chain vs. DAG-parallel vs. DSS off",
+		Title:   "Incremental phase: DAG wave schedule serial (P=-1) vs. parallel (-parallelism) vs. DSS off",
 		Header:  cfg.headerLines(scale),
-		Columns: []string{"instance", "dag (waves×width)", "cost (seq)", "cost (dag)", "cost (dss off)", "reapplied (seq)", "reapplied (dag)", "wall (seq)", "wall (dag)"},
+		Columns: []string{"instance", "dag (waves×width)", "cost (serial)", "cost (parallel)", "cost (dss off)", "reapplied (serial)", "reapplied (parallel)", "wall (serial)", "wall (parallel)"},
 	}
 	queries := scale.QuerySet[len(scale.QuerySet)-1]
 	const communities = 8
@@ -57,7 +37,7 @@ func AblationDAG(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 			return nil, err
 		}
 		p := in.Problem
-		solve := func(disableDAG, disableDSS bool) (*core.Outcome, time.Duration, error) {
+		solve := func(parallelism int, disableDSS bool) (*core.Outcome, time.Duration, error) {
 			subs, err := in.SubProblems()
 			if err != nil {
 				return nil, 0, err
@@ -65,40 +45,35 @@ func AblationDAG(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 			opt := core.Options{
 				Device: cfg.wrap(&da.Solver{CapacityVars: cfg.DACapacity}), Runs: cfg.Runs,
 				TotalSweeps: daSweeps(cfg, p), Seed: classSeed("abl-dag-run", inst, 0, 0),
-				Parallelism: cfg.Parallelism, FailFast: cfg.FailFast,
-				DisableDAG: disableDAG, DisableDSS: disableDSS,
+				Parallelism: parallelism, FailFast: cfg.FailFast, DisableDSS: disableDSS,
 			}
 			start := time.Now()
 			out, err := core.IncrementalOverSubProblems(ctx, p, subs, opt)
 			return out, time.Since(start), err
 		}
-		seq, seqWall, err := solve(true, false)
+		serial, serialWall, err := solve(-1, false)
 		if err != nil {
 			return nil, err
 		}
-		dag, dagWall, err := solve(false, false)
+		wide, wideWall, err := solve(cfg.Parallelism, false)
 		if err != nil {
 			return nil, err
 		}
-		off, _, err := solve(false, true)
+		off, _, err := solve(cfg.Parallelism, true)
 		if err != nil {
 			return nil, err
 		}
-		shape := "fallback"
-		if dag.DAG != nil && !dag.DAG.Fallback {
-			shape = fmt.Sprintf("%d×%d", dag.DAG.Waves, dag.DAG.Width)
-		}
-		r.AddRow(p.Name, shape,
-			fmt.Sprintf("%.1f", seq.Cost),
-			fmt.Sprintf("%.1f", dag.Cost),
+		r.AddRow(p.Name, fmt.Sprintf("%d×%d", wide.DAG.Waves, wide.DAG.Width),
+			fmt.Sprintf("%.1f", serial.Cost),
+			fmt.Sprintf("%.1f", wide.Cost),
 			fmt.Sprintf("%.1f", off.Cost),
-			fmt.Sprintf("%.1f", seq.ReappliedSavings),
-			fmt.Sprintf("%.1f", dag.ReappliedSavings),
-			seqWall.Round(time.Millisecond).String(),
-			dagWall.Round(time.Millisecond).String())
+			fmt.Sprintf("%.1f", serial.ReappliedSavings),
+			fmt.Sprintf("%.1f", wide.ReappliedSavings),
+			serialWall.Round(time.Millisecond).String(),
+			wideWall.Round(time.Millisecond).String())
 	}
 	r.Notes = append(r.Notes,
-		"sequential and DAG columns are bit-identical by construction (same solves, same seeds, deterministic join order); any difference is a bug",
+		"serial and parallel columns are bit-identical by construction (same solves, same seeds, deterministic join order); any difference is a bug",
 		"wall-clock gains require Parallelism > 1 and spare cores (or a latency-bound device); on one core the schedule is cost-neutral",
 		"DSS off solves every partial problem independently — the quality gap to the other columns is what steering is worth on this topology")
 	return r, nil

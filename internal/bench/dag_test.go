@@ -4,13 +4,11 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"incranneal/internal/core"
 )
 
-// TestAblationDAGSmoke runs the execution-order ablation at smoke scale and
-// pins its acceptance property: sequential and DAG-parallel quality columns
-// are identical (the solves are bit-identical; the formatted cells must be
+// TestAblationDAGSmoke runs the schedule ablation at smoke scale and pins
+// its acceptance property: serial and parallel quality columns are
+// identical (the solves are bit-identical; the formatted cells must be
 // too).
 func TestAblationDAGSmoke(t *testing.T) {
 	scale := SmokeScale()
@@ -22,31 +20,18 @@ func TestAblationDAGSmoke(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(r.Rows), scale.Instances)
 	}
 	for _, row := range r.Rows {
-		shape, costSeq, costDAG, reapSeq, reapDAG := row[1], row[2], row[3], row[5], row[6]
-		if shape == "fallback" {
-			t.Errorf("%s: sparse stride topology fell back to sequential", row[0])
+		shape, costSerial, costPar, reapSerial, reapPar := row[1], row[2], row[3], row[5], row[6]
+		if shape != "2×4" {
+			t.Errorf("%s: stride topology scheduled as %s, want 2 waves of width 4", row[0], shape)
 		}
-		if costSeq != costDAG {
-			t.Errorf("%s: cost diverged between orders: seq %s, dag %s", row[0], costSeq, costDAG)
+		if costSerial != costPar {
+			t.Errorf("%s: cost diverged between parallelism settings: serial %s, parallel %s", row[0], costSerial, costPar)
 		}
-		if reapSeq != reapDAG {
-			t.Errorf("%s: reapplied savings diverged: seq %s, dag %s", row[0], reapSeq, reapDAG)
+		if reapSerial != reapPar {
+			t.Errorf("%s: reapplied savings diverged: serial %s, parallel %s", row[0], reapSerial, reapPar)
 		}
 	}
 	if !strings.Contains(r.String(), "ablation-dag") {
 		t.Error("report missing its ID")
-	}
-}
-
-// TestPipelineSpecApply pins the flag plumbing shared by the CLIs.
-func TestPipelineSpecApply(t *testing.T) {
-	var opt core.Options
-	PipelineSpec{}.Apply(&opt)
-	if opt.DisableDAG || opt.DAGDensityThreshold != 0 {
-		t.Errorf("zero spec mutated options: %+v", opt)
-	}
-	PipelineSpec{DisableDAG: true, DAGDensity: 0.8}.Apply(&opt)
-	if !opt.DisableDAG || opt.DAGDensityThreshold != 0.8 {
-		t.Errorf("spec not applied: %+v", opt)
 	}
 }

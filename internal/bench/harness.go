@@ -61,12 +61,6 @@ type Config struct {
 	// FailFast forwards to core.Options.FailFast: abort a run on terminal
 	// device failure instead of degrading to greedy repair.
 	FailFast bool
-	// Pipeline forwards the incremental-phase scheduling flags
-	// (-dag-parallel, -dag-density) into every incremental solve the
-	// roster constructs. The zero value is the default pipeline: DAG
-	// scheduling on. Results are identical either way — the spec only
-	// moves wall-clock.
-	Pipeline PipelineSpec
 }
 
 // wrap applies the configured device middleware.
@@ -247,13 +241,11 @@ func SAIncremental(cfg Config) Algorithm {
 	return Algorithm{
 		Name: "SA (Incremental)",
 		Run: func(ctx context.Context, p *mqo.Problem, seed int64) (Score, error) {
-			opt := core.Options{
+			out, err := core.SolveIncremental(ctx, p, core.Options{
 				Device: cfg.wrap(&sa.Solver{}), Capacity: cfg.DACapacity, Runs: cfg.Runs,
 				TotalSweeps: saSweeps(cfg, p), Seed: seed, Parallelism: cfg.Parallelism,
 				FailFast: cfg.FailFast,
-			}
-			cfg.Pipeline.Apply(&opt)
-			out, err := core.SolveIncremental(ctx, p, opt)
+			})
 			if err != nil {
 				return Score{}, err
 			}
@@ -269,13 +261,11 @@ func HQAIncremental(cfg Config) Algorithm {
 	return Algorithm{
 		Name: "HQA",
 		Run: func(ctx context.Context, p *mqo.Problem, seed int64) (Score, error) {
-			opt := core.Options{
+			out, err := core.SolveIncremental(ctx, p, core.Options{
 				Device: cfg.wrap(&hqa.Solver{}), Capacity: cfg.DACapacity, Runs: 1,
 				Seed: seed, Parallelism: cfg.Parallelism,
 				FailFast: cfg.FailFast,
-			}
-			cfg.Pipeline.Apply(&opt)
-			out, err := core.SolveIncremental(ctx, p, opt)
+			})
 			if err != nil {
 				return Score{}, err
 			}
@@ -330,13 +320,11 @@ func DAIncremental(cfg Config) Algorithm {
 	return Algorithm{
 		Name: "DA (Incremental)",
 		Run: func(ctx context.Context, p *mqo.Problem, seed int64) (Score, error) {
-			opt := core.Options{
+			out, err := core.SolveIncremental(ctx, p, core.Options{
 				Device: cfg.wrap(&da.Solver{CapacityVars: cfg.DACapacity}), Runs: cfg.Runs,
 				TotalSweeps: daSweeps(cfg, p), Seed: seed, Parallelism: cfg.Parallelism,
 				FailFast: cfg.FailFast,
-			}
-			cfg.Pipeline.Apply(&opt)
-			out, err := core.SolveIncremental(ctx, p, opt)
+			})
 			if err != nil {
 				return Score{}, err
 			}

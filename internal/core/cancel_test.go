@@ -12,23 +12,29 @@ import (
 	"incranneal/internal/solver"
 )
 
-// gateSolver signals when its first solve begins and holds every solve
-// until the context is cancelled (or release closes), so a test can cancel
-// a session at a point where a DAG wave is demonstrably in flight.
+// gateSolver signals when its first partial-problem solve begins and holds
+// every such solve until the context is cancelled (or release closes), so
+// a test can cancel a session at a point where a DAG wave is demonstrably
+// in flight. Solves seeded below from (the partitioning phase's
+// bisections) pass straight through.
 type gateSolver struct {
 	inner   solver.Solver
+	from    int64
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func newGateSolver(inner solver.Solver) *gateSolver {
-	return &gateSolver{inner: inner, started: make(chan struct{}), release: make(chan struct{})}
+func newGateSolver(inner solver.Solver, from int64) *gateSolver {
+	return &gateSolver{inner: inner, from: from, started: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (g *gateSolver) Name() string  { return g.inner.Name() }
 func (g *gateSolver) Capacity() int { return g.inner.Capacity() }
 func (g *gateSolver) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
+	if req.Seed < g.from {
+		return g.inner.Solve(ctx, req)
+	}
 	g.once.Do(func() { close(g.started) })
 	select {
 	case <-g.release:
@@ -40,62 +46,65 @@ func (g *gateSolver) Solve(ctx context.Context, req solver.Request) (*solver.Res
 // TestSessionCancelMidWaveNoLeak cancels a session while a DAG wave is in
 // flight and asserts every pipeline goroutine drains: Wait returns, the
 // incumbent channel closes, and the process goroutine count returns to its
-// pre-session level.
+// pre-session level — on the sparse and the complete-graph fixture.
 func TestSessionCancelMidWaveNoLeak(t *testing.T) {
-	in := dagTestInstance(t)
-	gate := newGateSolver(&da.Solver{CapacityVars: 64})
-	opt := dagTestOptions()
-	opt.Device = gate
-	opt.Parallelism = 4
+	for _, fx := range dagFixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			opt := dagTestOptions()
+			// Partial-problem solves are seeded Seed+1000+i; hold those.
+			gate := newGateSolver(&da.Solver{CapacityVars: 64}, opt.Seed+1000)
+			opt.Device = gate
+			opt.Parallelism = 4
 
-	before := runtime.NumGoroutine()
+			before := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sess := NewSession(in.Problem, opt)
-	sess.EnableCheckpointing(0)
-	if err := sess.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	<-gate.started
-	cancel()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sess := NewSession(fx.in.Problem, opt)
+			sess.EnableCheckpointing(0)
+			if err := sess.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			<-gate.started
+			cancel()
 
-	waitDone := make(chan struct{})
-	go func() { sess.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("session did not finish after cancellation")
-	}
-	// The incumbent stream must close too — a reader blocked on it after
-	// cancellation would be a hang in the serving layer.
-	for range sess.Incumbents() {
-	}
+			waitDone := make(chan struct{})
+			go func() { sess.Wait(); close(waitDone) }()
+			select {
+			case <-waitDone:
+			case <-time.After(30 * time.Second):
+				t.Fatal("session did not finish after cancellation")
+			}
+			// The incumbent stream must close too — a reader blocked on it
+			// after cancellation would be a hang in the serving layer.
+			for range sess.Incumbents() {
+			}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked after cancel: before=%d now=%d\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if runtime.NumGoroutine() <= before+2 {
+					break
+				}
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					n := runtime.Stack(buf, true)
+					t.Fatalf("goroutines leaked after cancel: before=%d now=%d\n%s",
+						before, runtime.NumGoroutine(), buf[:n])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 
 // TestDegradationsDeterministicAcrossParallelism injects terminal faults
 // keyed on the per-sub request seed — a pure function of the request, not
 // of call order — and asserts the Outcome, Degradations included, is
-// identical at every Parallelism for both schedules. Counter-based fault
-// schedules cannot make this promise under the DAG waves; seed-keyed ones
-// must.
+// identical at every Parallelism on the sparse and the complete-graph
+// fixture. Counter-based fault schedules cannot make this promise under
+// the DAG waves; seed-keyed ones must.
 func TestDegradationsDeterministicAcrossParallelism(t *testing.T) {
 	ctx := context.Background()
-	in := dagTestInstance(t)
 	base := dagTestOptions()
 	// Fail two subs terminally: per-sub solve seeds are Seed+1000+i.
 	fail := map[int64]bool{
@@ -103,30 +112,29 @@ func TestDegradationsDeterministicAcrossParallelism(t *testing.T) {
 		base.Seed + 1003: true,
 	}
 
-	for _, disableDAG := range []bool{false, true} {
+	for _, fx := range dagFixtures(t) {
 		var ref *Outcome
 		for _, par := range []int{-1, 1, 2, 4} {
 			opt := base
-			opt.DisableDAG = disableDAG
 			opt.Parallelism = par
 			opt.Device = &seedFaultSolver{inner: &da.Solver{CapacityVars: 64}, fail: fail}
-			out, err := SolveIncremental(ctx, in.Problem, opt)
+			out, err := IncrementalOverSubProblems(ctx, fx.in.Problem, freshSubs(t, fx.in), opt)
 			if err != nil {
-				t.Fatalf("disableDAG=%v par=%d: %v", disableDAG, par, err)
+				t.Fatalf("%s par=%d: %v", fx.name, par, err)
 			}
 			if len(out.Degradations) != len(fail) {
-				t.Fatalf("disableDAG=%v par=%d: %d degradations, want %d",
-					disableDAG, par, len(out.Degradations), len(fail))
+				t.Fatalf("%s par=%d: %d degradations, want %d",
+					fx.name, par, len(out.Degradations), len(fail))
 			}
 			if ref == nil {
 				ref = out
 				continue
 			}
 			if !reflect.DeepEqual(out.Degradations, ref.Degradations) {
-				t.Errorf("disableDAG=%v par=%d: degradations diverged:\n got %+v\nwant %+v",
-					disableDAG, par, out.Degradations, ref.Degradations)
+				t.Errorf("%s par=%d: degradations diverged:\n got %+v\nwant %+v",
+					fx.name, par, out.Degradations, ref.Degradations)
 			}
-			assertOutcomeEqual(t, "degraded outcome", ref, out)
+			assertOutcomeEqual(t, fx.name+" degraded outcome", ref, out)
 		}
 	}
 }

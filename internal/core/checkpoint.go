@@ -121,8 +121,8 @@ func (sc *SubCheckpoint) localSolution(sub *mqo.SubProblem) (*mqo.Solution, erro
 
 // ckptRecorder assembles and delivers checkpoints from the serial merge
 // path of a partitioned incremental solve. It is only ever touched from a
-// single goroutine (the sequential chain's loop, or the DAG schedule's
-// merge barrier), so it needs no locking. Delivery is throttled by
+// single goroutine (the DAG schedule's merge barrier), so it needs no
+// locking. Delivery is throttled by
 // Options.CheckpointInterval; the internal Done list always grows per
 // merge, so a delivered checkpoint is complete regardless of throttling.
 type ckptRecorder struct {

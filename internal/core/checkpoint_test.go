@@ -82,39 +82,50 @@ func (s *seedFaultSolver) Solve(ctx context.Context, req solver.Request) (*solve
 	return s.inner.Solve(ctx, req)
 }
 
-// TestCheckpointResumeBitIdentity is the tentpole guarantee: a solve
+// TestCheckpointResumeBitIdentity is the checkpoint guarantee: a solve
 // interrupted after k partial problems and resumed from its checkpoint
 // produces the same Outcome as the uninterrupted run — costs, selections,
-// sweeps, savings totals and degradation records — for the sequential
-// chain and the DAG schedule at every Parallelism, with and without
-// degraded sub-problems.
+// sweeps, savings totals and degradation records — at every Parallelism,
+// with and without degraded sub-problems. The "sequential" variants run
+// the complete-graph fixture, whose schedule is the sequential chain; the
+// "dag" variants run the sparse fixture with its concurrent waves; the
+// "partitioned" variant goes through SolveIncremental, so resume also
+// rebuilds the partitioning from the checkpoint.
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	p := checkpointTestProblem(t)
 	base := checkpointTestOptions()
+	complete, sparse := completeDAGInstance(t), dagTestInstance(t)
+	overFixture := func(in *workload.DAGInstance) func(Options) (*Outcome, error) {
+		return func(opt Options) (*Outcome, error) {
+			return IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), opt)
+		}
+	}
+	partitioned := func(opt Options) (*Outcome, error) {
+		return SolveIncremental(ctx, checkpointTestProblem(t), opt)
+	}
 
 	type variant struct {
-		name       string
-		disableDAG bool
-		par        int
-		failSeeds  []int64
+		name      string
+		solve     func(Options) (*Outcome, error)
+		par       int
+		failSeeds []int64
 	}
 	variants := []variant{
-		{name: "sequential/serial", disableDAG: true, par: -1},
-		{name: "sequential/par4", disableDAG: true, par: 4},
-		{name: "dag/serial", par: -1},
-		{name: "dag/par2", par: 2},
-		{name: "dag/par4", par: 4},
+		{name: "sequential/serial", solve: overFixture(complete), par: -1},
+		{name: "sequential/par4", solve: overFixture(complete), par: 4},
+		{name: "dag/serial", solve: overFixture(sparse), par: -1},
+		{name: "dag/par2", solve: overFixture(sparse), par: 2},
+		{name: "dag/par4", solve: overFixture(sparse), par: 4},
+		{name: "partitioned/par2", solve: partitioned, par: 2},
 		// A degraded sub-problem (terminal failure on sub 1's seed) must
 		// replay its Degradation record verbatim on resume.
-		{name: "sequential/degraded", disableDAG: true, par: -1, failSeeds: []int64{base.Seed + 1001}},
-		{name: "dag/degraded", par: 2, failSeeds: []int64{base.Seed + 1001}},
+		{name: "sequential/degraded", solve: overFixture(complete), par: -1, failSeeds: []int64{base.Seed + 1001}},
+		{name: "dag/degraded", solve: overFixture(sparse), par: 2, failSeeds: []int64{base.Seed + 1001}},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			opt := base
-			opt.DisableDAG = v.disableDAG
 			opt.Parallelism = v.par
 			if len(v.failSeeds) > 0 {
 				fail := make(map[int64]bool, len(v.failSeeds))
@@ -128,7 +139,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			var cps []*Checkpoint
 			refOpt := opt
 			refOpt.CheckpointFunc = func(cp *Checkpoint) { cps = append(cps, cp) }
-			ref, err := SolveIncremental(ctx, p, refOpt)
+			ref, err := v.solve(refOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +173,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 				}
 				resOpt := opt
 				resOpt.Resume = &thawed
-				got, err := SolveIncremental(ctx, p, resOpt)
+				got, err := v.solve(resOpt)
 				if err != nil {
 					t.Fatalf("resume after %d subs: %v", k, err)
 				}
@@ -172,23 +183,23 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecordsBothSchedules pins checkpoint shape: per-merge
+// TestCheckpointRecordsBothSchedules pins checkpoint shape on both schedule
+// shapes (sparse waves and the complete graph's chain): per-merge
 // delivery, cumulative Done lists, deep-copied query sets, and the sweep
 // accounting that Outcome.Sweeps restores on resume.
 func TestCheckpointRecordsBothSchedules(t *testing.T) {
 	ctx := context.Background()
-	p := checkpointTestProblem(t)
-	for _, disableDAG := range []bool{true, false} {
-		opt := checkpointTestOptions()
-		opt.DisableDAG = disableDAG
+	for _, fx := range dagFixtures(t) {
+		p := fx.in.Problem
+		opt := dagTestOptions()
 		var cps []*Checkpoint
 		opt.CheckpointFunc = func(cp *Checkpoint) { cps = append(cps, cp) }
-		out, err := SolveIncremental(ctx, p, opt)
+		out, err := IncrementalOverSubProblems(ctx, p, freshSubs(t, fx.in), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(cps) != out.NumPartitions {
-			t.Fatalf("disableDAG=%v: %d checkpoints for %d partitions", disableDAG, len(cps), out.NumPartitions)
+			t.Fatalf("%s: %d checkpoints for %d partitions", fx.name, len(cps), out.NumPartitions)
 		}
 		totalSweeps := 0
 		for i, cp := range cps {
@@ -218,7 +229,7 @@ func TestCheckpointRecordsBothSchedules(t *testing.T) {
 			}
 		}
 		if totalSweeps != out.Sweeps {
-			t.Fatalf("disableDAG=%v: checkpointed sweeps %d, outcome %d", disableDAG, totalSweeps, out.Sweeps)
+			t.Fatalf("%s: checkpointed sweeps %d, outcome %d", fx.name, totalSweeps, out.Sweeps)
 		}
 	}
 }
@@ -230,7 +241,6 @@ func TestCheckpointIntervalThrottles(t *testing.T) {
 	ctx := context.Background()
 	p := checkpointTestProblem(t)
 	opt := checkpointTestOptions()
-	opt.DisableDAG = true
 	opt.CheckpointInterval = time.Hour
 	var calls int
 	opt.CheckpointFunc = func(cp *Checkpoint) { calls++ }
@@ -337,7 +347,6 @@ func TestCheckpointCloneIsolation(t *testing.T) {
 	ctx := context.Background()
 	p := checkpointTestProblem(t)
 	opt := checkpointTestOptions()
-	opt.DisableDAG = true
 	var cps []*Checkpoint
 	opt.CheckpointFunc = func(cp *Checkpoint) {
 		// Vandalise every delivery; later deliveries must be unaffected.

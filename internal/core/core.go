@@ -63,22 +63,10 @@ type Options struct {
 	// sequential execution. Any setting yields identical results.
 	Parallelism int
 	// DisableDSS turns dynamic search steering off in the incremental
-	// strategy (ablation): partial problems are still processed
-	// sequentially and merged, but discarded savings are never re-applied.
+	// strategy (ablation): partial problems are still solved and merged,
+	// but discarded savings are never re-applied, so no partial problem
+	// depends on another and all of them form one wave.
 	DisableDSS bool
-	// DisableDAG forces the incremental strategy's strictly sequential
-	// chain (Algorithm 2 verbatim). By default the strategy schedules
-	// partial problems over the DSS dependency DAG: sub-problems that share
-	// no discarded savings are solved concurrently, with cost adjustments
-	// applied at join points in a fixed order so results stay bit-identical
-	// to the sequential chain.
-	DisableDAG bool
-	// DAGDensityThreshold is the DSS-DAG edge density (realised edges over
-	// possible edges) above which the incremental strategy falls back to
-	// the sequential chain — a dense graph serialises anyway, so the
-	// scheduler would only add overhead. Zero means 0.5; a value >= 1 never
-	// falls back.
-	DAGDensityThreshold float64
 	// FailFast restores the pre-degradation contract: a terminal device
 	// failure aborts the solve with an error instead of completing the
 	// affected partial problem by greedy repair. Also forwarded to the
@@ -127,6 +115,11 @@ type Options struct {
 	// always run cold-seeded, so re-solving an identical problem stays
 	// bit-identical to the first solve.
 	WarmStartDrift float64
+
+	// onMerge, when set, receives the incumbent after every partial-problem
+	// merge of a partitioned incremental solve, from the serial merge
+	// barrier. Only Session sets it; it observes and never feeds back.
+	onMerge func(Incumbent)
 }
 
 // Outcome reports a completed MQO solve.
@@ -158,8 +151,8 @@ type Outcome struct {
 	// Options.FailFast to abort on failure instead.
 	Degradations []Degradation
 	// DAG describes the DSS dependency graph the incremental strategy
-	// built over the partial problems, nil for the other strategies, for
-	// unpartitioned solves, and under Options.DisableDAG.
+	// scheduled its partial problems over, nil for the other strategies
+	// and for solves with fewer than two partial problems.
 	DAG *DAGStats
 	// Cache reports the cross-solve cache's part in this solve; nil when
 	// no cache was configured or the solve never reached the partitioned
@@ -254,14 +247,6 @@ func (o Options) partitionSweeps(n, i int) int {
 		s = 1
 	}
 	return s
-}
-
-// dagDensityThreshold resolves the configured fallback threshold.
-func (o Options) dagDensityThreshold() float64 {
-	if o.DAGDensityThreshold > 0 {
-		return o.DAGDensityThreshold
-	}
-	return 0.5
 }
 
 // subTimings carries the per-phase durations of one partial-problem solve.

@@ -13,17 +13,18 @@ import (
 	"incranneal/internal/obs"
 )
 
-// This file implements the DAG-parallel incremental phase. Algorithm 2
-// processes partial problems strictly sequentially, but dynamic search
-// steering (Algorithm 3) only couples two partial problems when one's
-// discarded savings have an endpoint plan inside the other — that is the
-// only channel through which solving one partial problem can change
-// another's costs. The scheduler makes that data dependency explicit as a
-// DAG, solves independent partial problems concurrently in topological
-// waves, and applies the DSS cost adjustments at the wave boundaries in a
-// fixed, index-sorted order, so the final solution, its cost and the
-// re-applied savings total are bit-identical to the sequential chain at any
-// Options.Parallelism.
+// This file implements the incremental phase (Algorithm 2) as a wave
+// schedule. Algorithm 2 processes partial problems strictly sequentially,
+// but dynamic search steering (Algorithm 3) only couples two partial
+// problems when one's discarded savings have an endpoint plan inside the
+// other — that is the only channel through which solving one partial
+// problem can change another's costs. The scheduler makes that data
+// dependency explicit as a DAG, solves independent partial problems
+// concurrently in topological waves, and applies the DSS cost adjustments
+// at the wave boundaries in a fixed, index-sorted order, so the final
+// solution, its cost and the re-applied savings total are bit-identical to
+// the sequential chain at any Options.Parallelism. A complete dependency
+// graph yields singleton waves in index order, which is the chain itself.
 //
 // Why the results coincide: in the sequential chain, a discarded saving of
 // sub j with its other endpoint plan owned by sub k < j is applied by the
@@ -35,6 +36,8 @@ import (
 // applied to j sequentially, which is why applyEdge filters on the owning
 // sub of the selected endpoint rather than on mere membership in the
 // incumbent solution (under DAG order, sub k > j may already have merged).
+// referenceIncremental (equivalence_test.go) runs the chain itself as the
+// test oracle.
 
 // DAGStats describes the DSS dependency graph of one incremental solve.
 type DAGStats struct {
@@ -49,9 +52,6 @@ type DAGStats struct {
 	Waves, Width int
 	// Density is Edges over the possible n·(n−1)/2.
 	Density float64
-	// Fallback reports that the graph was too dense (Options.
-	// DAGDensityThreshold) and the sequential chain ran instead.
-	Fallback bool
 }
 
 // dssDAG is the dependency graph the scheduler executes. Node indices are
@@ -126,11 +126,11 @@ func buildDSSDAG(p *mqo.Problem, subs []*mqo.SubProblem, noEdges bool) *dssDAG {
 }
 
 // stats exports the graph shape.
-func (d *dssDAG) stats(fallback bool) *DAGStats {
+func (d *dssDAG) stats() *DAGStats {
 	return &DAGStats{
 		Nodes: len(d.preds), Edges: d.edges,
 		Waves: len(d.waves), Width: d.width,
-		Density: d.density, Fallback: fallback,
+		Density: d.density,
 	}
 }
 
@@ -260,7 +260,12 @@ func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem,
 				if encs[node] == nil || dirty[node] {
 					t0 := time.Now()
 					encs[node] = preps[node].Encoding()
-					encNanos[node] += int64(time.Since(t0))
+					d := time.Since(t0)
+					encNanos[node] += int64(d)
+					if dirty[node] && sink.Enabled() {
+						// A join patched this speculatively built encoding.
+						sink.EmitCtx(subCtx, obs.Event{Name: "encode", Label: subLabel(node), Dur: d, N: 1})
+					}
 					dirty[node] = false
 				}
 				best, performed, st, err := solveEncoded(subCtx, opt.Device, encs[node], opt.Runs, opt.partitionSweeps(n, node), opt.Seed+int64(1000+node), warms[node], split[wi])
@@ -302,12 +307,23 @@ func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem,
 				}
 			}
 			merged++
-			if sink.Enabled() {
-				sink.EmitCtx(waveCtx, obs.Event{Name: "merge", Label: subLabel(node), N: merged, Value: ttlSol.Cost(p)})
+			if sink.Enabled() || opt.onMerge != nil {
+				// Incumbent global cost after each merge: Cost skips
+				// unassigned queries, so this trajectory is the incremental
+				// strategy's convergence at partial-problem granularity.
+				cost := ttlSol.Cost(p)
+				if sink.Enabled() {
+					sink.EmitCtx(waveCtx, obs.Event{Name: "merge", Label: subLabel(node), N: merged, Value: cost})
+				}
+				if opt.onMerge != nil {
+					opt.onMerge(Incumbent{Sub: node, Merged: merged, Cost: cost})
+				}
 			}
-			// Truncated best-so-far results from a cancelled wave must not
-			// enter a checkpoint (see the incremental schedule's record
-			// site); replayed nodes carry exact checkpoint values.
+			// An interrupted device solve returns its truncated best-so-far
+			// without error, which must not enter a checkpoint: replaying it
+			// would diverge from an uninterrupted run. Cancelled subs stay
+			// unrecorded and simply re-solve after resume. Replayed subs
+			// carry exact checkpoint values, so they record regardless.
 			if waveCtx.Err() == nil || rs.sub(node) != nil {
 				rec.record(node, subs[node], globals[node], sweepCounts[node], degs[node])
 			}
@@ -368,11 +384,10 @@ func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem,
 		tm.Decode += subTms[i].decode
 	}
 	// The re-applied total in the sequential chain's float association: the
-	// chain sums each DSS pass into its own subtotal (dss's return value)
-	// and adds that to the running total, and the pass after merging sub k
-	// applies exactly the edges with pred k. So: per-pred subtotals over
-	// joins sorted by (pred, node), values in scan order, then one add per
-	// pred.
+	// chain sums each DSS pass into its own subtotal and adds that to the
+	// running total, and the pass after merging sub k applies exactly the
+	// edges with pred k. So: per-pred subtotals over joins sorted by
+	// (pred, node), values in scan order, then one add per pred.
 	sort.Slice(joins, func(a, b int) bool {
 		if joins[a].pred != joins[b].pred {
 			return joins[a].pred < joins[b].pred

@@ -29,6 +29,36 @@ func dagTestInstance(t testing.TB) *workload.DAGInstance {
 	return in
 }
 
+// completeDAGInstance builds the complete-graph fixture: 4 communities,
+// every pair linked, so the DSS dependency graph has all 6 edges and the
+// schedule is 4 singleton waves — the sequential chain — with
+// multi-predecessor joins.
+func completeDAGInstance(t testing.TB) *workload.DAGInstance {
+	t.Helper()
+	in, err := workload.GenerateDAGSweep(workload.DAGSweepConfig{
+		Queries: 24, PPQ: 3, Communities: 4,
+		IntraDensity: 0.4, CrossDensity: 0.3,
+		CommunityPairs: [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}},
+		Seed:           5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// dagFixture names one DSS-DAG fixture for tests that run every schedule
+// shape: "sparse" has real wave concurrency, "complete" degenerates to the
+// sequential chain.
+type dagFixture struct {
+	name string
+	in   *workload.DAGInstance
+}
+
+func dagFixtures(t testing.TB) []dagFixture {
+	return []dagFixture{{"sparse", dagTestInstance(t)}, {"complete", completeDAGInstance(t)}}
+}
+
 func dagTestOptions() Options {
 	return Options{
 		Device:      &da.Solver{CapacityVars: 64},
@@ -102,117 +132,48 @@ func TestBuildDSSDAG(t *testing.T) {
 	}
 }
 
-// TestDAGMatchesSequentialSparse is the tentpole's equivalence guarantee:
+// TestDAGMatchesSequentialSparse is the scheduler's equivalence guarantee:
 // on a sparse dependency DAG the wave schedule must reproduce the
-// sequential chain bit for bit — cost, plan selections, re-applied savings
-// and sweep totals — at every Parallelism setting.
+// sequential chain of referenceIncremental bit for bit — cost, plan
+// selections, re-applied savings and sweep totals — at every Parallelism
+// setting.
 func TestDAGMatchesSequentialSparse(t *testing.T) {
-	ctx := context.Background()
-	in := dagTestInstance(t)
-	opt := dagTestOptions()
+	assertScheduleMatchesReference(t, dagTestInstance(t),
+		DAGStats{Nodes: 8, Edges: 4, Waves: 2, Width: 4, Density: 4.0 / 28})
+}
 
-	ref := func() *Outcome {
-		o := opt
-		o.DisableDAG = true
-		o.Parallelism = -1
-		out, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}()
-	if ref.DAG != nil {
-		t.Errorf("DisableDAG outcome reports DAG stats: %+v", ref.DAG)
-	}
-	if ref.ReappliedSavings <= 0 {
+// TestDAGMatchesSequentialComplete pins the dense end: a complete
+// dependency graph schedules as singleton waves in index order, joins with
+// several predecessors each (sub 3 has three), and must equal the
+// sequential reference exactly.
+func TestDAGMatchesSequentialComplete(t *testing.T) {
+	assertScheduleMatchesReference(t, completeDAGInstance(t),
+		DAGStats{Nodes: 4, Edges: 6, Waves: 4, Width: 1, Density: 1})
+}
+
+// assertScheduleMatchesReference solves in's partial problems at every
+// Parallelism setting, checks the schedule shape against want and the
+// outcome against referenceIncremental.
+func assertScheduleMatchesReference(t *testing.T, in *workload.DAGInstance, want DAGStats) {
+	t.Helper()
+	ctx := context.Background()
+	opt := dagTestOptions()
+	opt.Parallelism = -1
+	ref := referenceIncremental(ctx, t, in.Problem, freshSubs(t, in), opt)
+	if ref.Reapplied <= 0 {
 		t.Fatal("fixture re-applies no savings; the equivalence test would be vacuous")
 	}
-
-	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+	for _, par := range []int{-1, 1, 4, runtime.GOMAXPROCS(0)} {
 		o := opt
 		o.Parallelism = par
 		out, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.DAG == nil {
-			t.Fatalf("Parallelism=%d: no DAG stats on the DAG path", par)
+		if out.DAG == nil || *out.DAG != want {
+			t.Errorf("Parallelism=%d: DAG stats %+v, want %+v", par, out.DAG, want)
 		}
-		if out.DAG.Fallback {
-			t.Fatalf("Parallelism=%d: sparse DAG (density %v) fell back to sequential", par, out.DAG.Density)
-		}
-		if out.DAG.Nodes != 8 || out.DAG.Edges != 4 || out.DAG.Waves != 2 || out.DAG.Width != 4 {
-			t.Errorf("Parallelism=%d: DAG stats %+v, want 8 nodes, 4 edges, 2 waves, width 4", par, out.DAG)
-		}
-		if out.Cost != ref.Cost {
-			t.Errorf("Parallelism=%d: cost %v, sequential %v", par, out.Cost, ref.Cost)
-		}
-		if out.ReappliedSavings != ref.ReappliedSavings {
-			t.Errorf("Parallelism=%d: reapplied %v, sequential %v", par, out.ReappliedSavings, ref.ReappliedSavings)
-		}
-		if out.Sweeps != ref.Sweeps {
-			t.Errorf("Parallelism=%d: sweeps %d, sequential %d", par, out.Sweeps, ref.Sweeps)
-		}
-		for q, pl := range out.Solution.Selected {
-			if pl != ref.Solution.Selected[q] {
-				t.Errorf("Parallelism=%d: query %d selects plan %d, sequential %d", par, q, pl, ref.Solution.Selected[q])
-				break
-			}
-		}
-	}
-}
-
-// TestDAGDenseFallback pins the density heuristic: a complete dependency
-// graph exceeds the default threshold and runs the sequential chain, while
-// raising the threshold schedules it as a (serial) DAG with identical
-// results — multi-predecessor joins included.
-func TestDAGDenseFallback(t *testing.T) {
-	ctx := context.Background()
-	in, err := workload.GenerateDAGSweep(workload.DAGSweepConfig{
-		Queries: 24, PPQ: 3, Communities: 4,
-		IntraDensity: 0.4, CrossDensity: 0.3,
-		CommunityPairs: [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}},
-		Seed:           5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := dagTestOptions()
-	opt.Parallelism = 4
-
-	out, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.DAG == nil || !out.DAG.Fallback {
-		t.Fatalf("complete dependency graph did not fall back: %+v", out.DAG)
-	}
-	if out.DAG.Density != 1 {
-		t.Errorf("density = %v, want 1", out.DAG.Density)
-	}
-
-	// Threshold >= 1 forces the schedule; the chain graph serialises into 4
-	// singleton waves and must still match the sequential result exactly.
-	forced := opt
-	forced.DAGDensityThreshold = 1
-	fOut, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), forced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fOut.DAG == nil || fOut.DAG.Fallback {
-		t.Fatalf("threshold 1 still fell back: %+v", fOut.DAG)
-	}
-	if fOut.DAG.Waves != 4 || fOut.DAG.Width != 1 {
-		t.Errorf("complete graph waves/width = %d/%d, want 4/1", fOut.DAG.Waves, fOut.DAG.Width)
-	}
-	if fOut.Cost != out.Cost || fOut.ReappliedSavings != out.ReappliedSavings {
-		t.Errorf("forced DAG: cost %v reapplied %v, sequential %v / %v", fOut.Cost, fOut.ReappliedSavings, out.Cost, out.ReappliedSavings)
-	}
-	for q, pl := range fOut.Solution.Selected {
-		if pl != out.Solution.Selected[q] {
-			t.Errorf("forced DAG: query %d selects plan %d, sequential %d", q, pl, out.Solution.Selected[q])
-			break
-		}
+		assertMatchesReference(t, fmt.Sprintf("Parallelism=%d", par), in.Problem, ref, out)
 	}
 }
 
@@ -236,8 +197,8 @@ func (s *seedFailSolver) Solve(ctx context.Context, req solver.Request) (*solver
 // TestDAGFaultDeterminism pins graceful degradation under the wave
 // schedule: a terminal failure of one mid-wave partial problem degrades
 // exactly that sub, and the outcome is bit-identical across Parallelism
-// settings and to the sequential chain (the greedy repair runs on the same
-// DSS-adjusted costs either way).
+// settings and to the sequential reference (the greedy repair runs on the
+// same DSS-adjusted costs either way).
 func TestDAGFaultDeterminism(t *testing.T) {
 	ctx := context.Background()
 	in := dagTestInstance(t)
@@ -247,45 +208,20 @@ func TestDAGFaultDeterminism(t *testing.T) {
 		Solver:   &da.Solver{CapacityVars: 64},
 		failSeed: opt.Seed + int64(1000+target),
 	}
+	opt.Parallelism = -1
+	ref := referenceIncremental(ctx, t, in.Problem, freshSubs(t, in), opt)
+	if len(ref.Degradations) != 1 || ref.Degradations[0].Sub != target {
+		t.Fatalf("reference degradations = %+v, want exactly sub %d", ref.Degradations, target)
+	}
 
-	var ref *Outcome
-	for _, tc := range []struct {
-		name       string
-		par        int
-		disableDAG bool
-	}{
-		{"seq", -1, true},
-		{"dag-par1", 1, false},
-		{"dag-par4", 4, false},
-		{"dag-par4-again", 4, false},
-		{"dag-par0", 0, false},
-	} {
+	for _, par := range []int{-1, 1, 4, 4, runtime.GOMAXPROCS(0), 0} {
 		o := opt
-		o.Parallelism = tc.par
-		o.DisableDAG = tc.disableDAG
+		o.Parallelism = par
 		out, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), o)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("Parallelism=%d: %v", par, err)
 		}
-		if len(out.Degradations) != 1 || out.Degradations[0].Sub != target {
-			t.Fatalf("%s: degradations = %+v, want exactly sub %d", tc.name, out.Degradations, target)
-		}
-		if ref == nil {
-			ref = out
-			continue
-		}
-		if out.Cost != ref.Cost {
-			t.Errorf("%s: cost %v, want %v", tc.name, out.Cost, ref.Cost)
-		}
-		if out.ReappliedSavings != ref.ReappliedSavings {
-			t.Errorf("%s: reapplied %v, want %v", tc.name, out.ReappliedSavings, ref.ReappliedSavings)
-		}
-		for q, pl := range out.Solution.Selected {
-			if pl != ref.Solution.Selected[q] {
-				t.Errorf("%s: query %d selects plan %d, want %d", tc.name, q, pl, ref.Solution.Selected[q])
-				break
-			}
-		}
+		assertMatchesReference(t, fmt.Sprintf("Parallelism=%d", par), in.Problem, ref, out)
 	}
 
 	// FailFast still aborts, whichever wave the failure lands in.
@@ -350,6 +286,50 @@ func TestDAGObsEvents(t *testing.T) {
 	}
 	if got := reg.Gauge("dag.critical_path").Value(); got != float64(out.DAG.Waves) {
 		t.Errorf("dag.critical_path gauge = %v, want %d", got, out.DAG.Waves)
+	}
+}
+
+// TestDAGReencodeEvents pins the trace of join-dirtied encodings: every
+// node whose speculatively built encoding a join patched emits exactly one
+// "encode" event labelled with its sub, N 1 — the re-encode time the phase
+// timings already count.
+func TestDAGReencodeEvents(t *testing.T) {
+	ctx := context.Background()
+	for _, fx := range dagFixtures(t) {
+		opt := dagTestOptions()
+		opt.Parallelism = 4
+		sink := obs.NewCollector(nil)
+		if _, err := IncrementalOverSubProblems(obs.NewContext(ctx, sink), fx.in.Problem, freshSubs(t, fx.in), opt); err != nil {
+			t.Fatal(err)
+		}
+		joined := map[string]bool{}
+		reencoded := map[string]int{}
+		dirtied := 0
+		for _, e := range sink.Events() {
+			switch {
+			case e.Name == "join":
+				joined[e.Label] = true
+			case e.Name == "dss":
+				dirtied += e.N
+			case e.Name == "encode" && e.Label != "":
+				if e.N != 1 {
+					t.Errorf("%s: re-encode event %s has N %d, want 1", fx.name, e.Label, e.N)
+				}
+				reencoded[e.Label]++
+			}
+		}
+		if len(joined) == 0 {
+			t.Fatalf("%s: no join dirtied an encoding; the test would be vacuous", fx.name)
+		}
+		if len(reencoded) != len(joined) || dirtied != len(joined) {
+			t.Errorf("%s: %d re-encoded subs, %d dirtied (dss events), want the %d joined subs %v",
+				fx.name, len(reencoded), dirtied, len(joined), joined)
+		}
+		for label, n := range reencoded {
+			if !joined[label] || n != 1 {
+				t.Errorf("%s: %s re-encoded %d times (joined: %v), want once per joined sub", fx.name, label, n, joined[label])
+			}
+		}
 	}
 }
 

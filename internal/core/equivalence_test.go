@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"incranneal/internal/da"
@@ -11,14 +13,26 @@ import (
 	"incranneal/internal/workload"
 )
 
-// referenceIncremental is the pre-skeleton incremental loop: every partial
-// problem is re-encoded from scratch with EncodeMQO after each DSS pass and
-// every sample is decoded into a fresh Solution. It exists purely as the
-// behavioural reference the prepared-encoding pipeline must reproduce bit
-// for bit.
-func referenceIncremental(ctx context.Context, t *testing.T, p *mqo.Problem, subs []*mqo.SubProblem, opt Options) *mqo.Solution {
+// refOutcome is what referenceIncremental reports: the merged solution,
+// the re-applied savings total, the performed sweeps and the degradations
+// in sub order.
+type refOutcome struct {
+	Solution     *mqo.Solution
+	Reapplied    float64
+	Sweeps       int
+	Degradations []Degradation
+}
+
+// referenceIncremental is Algorithm 2 as the paper states it: partial
+// problems solved strictly one after another in index order, every one
+// re-encoded from scratch with EncodeMQO after each DSS pass (Algorithm 3,
+// dss below), every sample decoded into a fresh Solution, and a failed
+// device solve completed by degrade as the pipeline does. It exists purely
+// as the behavioural reference the prepared-skeleton wave schedule must
+// reproduce bit for bit.
+func referenceIncremental(ctx context.Context, t *testing.T, p *mqo.Problem, subs []*mqo.SubProblem, opt Options) *refOutcome {
 	t.Helper()
-	ttl := mqo.NewSolution(p)
+	ref := &refOutcome{Solution: mqo.NewSolution(p)}
 	pending := make([][]mqo.Saving, len(subs))
 	for i, sub := range subs {
 		pending[i] = append([]mqo.Saving(nil), sub.Discarded...)
@@ -28,29 +42,33 @@ func referenceIncremental(ctx context.Context, t *testing.T, p *mqo.Problem, sub
 		if err != nil {
 			t.Fatal(err)
 		}
+		var best *mqo.Solution
 		res, err := opt.Device.Solve(ctx, solver.Request{
 			Model: enc.Model, Runs: opt.Runs, Sweeps: opt.partitionSweeps(len(subs), i),
 			Seed: opt.Seed + int64(1000+i), Parallelism: opt.Parallelism,
 		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		var best *mqo.Solution
-		bestCost := 0.0
-		for _, s := range res.Samples {
-			sol, err := enc.Decode(s.Assignment)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c := sol.Cost(sub.Local); best == nil || c < bestCost {
-				best, bestCost = sol, c
+			var d Degradation
+			best, d = degrade(ctx, sub.Local, i, opt.Device.Name(), err)
+			ref.Degradations = append(ref.Degradations, d)
+		} else {
+			ref.Sweeps += res.Sweeps
+			bestCost := 0.0
+			for _, s := range res.Samples {
+				sol, err := enc.Decode(s.Assignment)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c := sol.Cost(sub.Local); best == nil || c < bestCost {
+					best, bestCost = sol, c
+				}
 			}
 		}
 		global, err := sub.ToGlobal(p, best)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ttl.Merge(global); err != nil {
+		if err := ref.Solution.Merge(global); err != nil {
 			t.Fatal(err)
 		}
 		if i+1 < len(subs) && !opt.DisableDSS {
@@ -58,15 +76,68 @@ func referenceIncremental(ctx context.Context, t *testing.T, p *mqo.Problem, sub
 			// quadratic behaviour the pipeline's incrementally maintained
 			// set must reproduce.
 			selected := make([]bool, p.NumPlans())
-			for _, pl := range ttl.Selected {
+			for _, pl := range ref.Solution.Selected {
 				if pl != mqo.Unassigned {
 					selected[pl] = true
 				}
 			}
-			dss(selected, subs[i+1:], pending[i+1:], make([]bool, len(subs)-i-1))
+			ref.Reapplied += dss(selected, subs[i+1:], pending[i+1:])
 		}
 	}
-	return ttl
+	return ref
+}
+
+// dss implements Algorithm 3: for every still-unsolved partial problem and
+// every pending discarded saving, when one endpoint has been selected into
+// the intermediate solution and the other endpoint is a plan of the
+// unsolved problem, that plan's cost is reduced by the saving's value and
+// the saving is consumed. selected marks the plans of the intermediate
+// solution. Returns the re-applied magnitude.
+func dss(selected []bool, remaining []*mqo.SubProblem, pending [][]mqo.Saving) float64 {
+	var reapplied float64
+	for i, sub := range remaining {
+		kept := pending[i][:0]
+		for _, s := range pending[i] {
+			plan, selPlan := -1, -1
+			if _, in := sub.LocalPlan(s.P1); in {
+				plan, selPlan = s.P1, s.P2
+			} else if _, in := sub.LocalPlan(s.P2); in {
+				plan, selPlan = s.P2, s.P1
+			}
+			if plan >= 0 && selected[selPlan] {
+				sub.AdjustCost(plan, s.Value)
+				reapplied += s.Value
+				continue
+			}
+			kept = append(kept, s)
+		}
+		pending[i] = kept
+	}
+	return reapplied
+}
+
+// assertMatchesReference compares an Outcome with the reference bit for
+// bit: cost, plan selections, re-applied savings, sweeps and degradations.
+func assertMatchesReference(t *testing.T, label string, p *mqo.Problem, ref *refOutcome, out *Outcome) {
+	t.Helper()
+	if want := ref.Solution.Cost(p); out.Cost != want {
+		t.Errorf("%s: cost %v, reference %v", label, out.Cost, want)
+	}
+	for q, pl := range out.Solution.Selected {
+		if pl != ref.Solution.Selected[q] {
+			t.Errorf("%s: query %d selects plan %d, reference %d", label, q, pl, ref.Solution.Selected[q])
+			break
+		}
+	}
+	if out.ReappliedSavings != ref.Reapplied {
+		t.Errorf("%s: reapplied %v, reference %v", label, out.ReappliedSavings, ref.Reapplied)
+	}
+	if out.Sweeps != ref.Sweeps {
+		t.Errorf("%s: sweeps %d, reference %d", label, out.Sweeps, ref.Sweeps)
+	}
+	if !reflect.DeepEqual(out.Degradations, ref.Degradations) {
+		t.Errorf("%s: degradations %+v, reference %+v", label, out.Degradations, ref.Degradations)
+	}
 }
 
 // TestIncrementalPipelineMatchesReference pins the tentpole's equivalence
@@ -100,7 +171,6 @@ func TestIncrementalPipelineMatchesReference(t *testing.T) {
 		t.Fatalf("instance not partitioned (%d sub-problems); equivalence test needs the incremental path", len(part.SubProblems))
 	}
 	ref := referenceIncremental(ctx, t, p, part.SubProblems, opt)
-	refCost := ref.Cost(p)
 	for _, par := range []int{-1, 1, 4} {
 		opt := opt
 		opt.Parallelism = par
@@ -114,15 +184,7 @@ func TestIncrementalPipelineMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Cost != refCost {
-			t.Errorf("Parallelism=%d: cost %v, reference %v", par, out.Cost, refCost)
-		}
-		for q, pl := range out.Solution.Selected {
-			if pl != ref.Selected[q] {
-				t.Errorf("Parallelism=%d: query %d selects plan %d, reference %d", par, q, pl, ref.Selected[q])
-				break
-			}
-		}
+		assertMatchesReference(t, fmt.Sprintf("Parallelism=%d", par), p, ref, out)
 	}
 	// The full pipeline (partitioning included) must also be invariant
 	// across Parallelism settings.

@@ -43,10 +43,10 @@ func BenchmarkIncrementalPipeline(b *testing.B) {
 
 // BenchmarkIncrementalDAG measures the incremental phase alone (partitions
 // pre-extracted) at 2, 8 and 32 partial problems on stride-topology DAG
-// instances, sequential chain vs. DAG-parallel schedule — the comparison
-// behind BENCH_dag.json. Results are bit-identical between the two orders;
-// only the execution order moves. On a single core the CPU-bound variant is
-// cost-neutral; the latency variant models a remote annealing service
+// instances, with the wave schedule at Parallelism 1 and 8 — the
+// comparison behind BENCH_dag.json. Results are bit-identical between the
+// two; only the concurrency moves. On a single core the CPU-bound variant
+// is cost-neutral; the latency variant models a remote annealing service
 // (2ms round-trip per solve, the regime the DAG schedule targets) where
 // independent partial problems overlap their round-trips.
 func BenchmarkIncrementalDAG(b *testing.B) {
@@ -58,11 +58,8 @@ func BenchmarkIncrementalDAG(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"seq", true}, {"dag", false}} {
-			run := func(b *testing.B, latency time.Duration, parallelism int) {
+		for _, parallelism := range []int{1, 8} {
+			run := func(b *testing.B, latency time.Duration) {
 				device := &da.Solver{CapacityVars: 64}
 				opt := Options{
 					Device:      device,
@@ -70,7 +67,6 @@ func BenchmarkIncrementalDAG(b *testing.B) {
 					TotalSweeps: 2000,
 					Seed:        7,
 					Parallelism: parallelism,
-					DisableDAG:  mode.disable,
 				}
 				if latency > 0 {
 					opt.Device = faultinject.New(device, faultinject.Config{Latency: latency})
@@ -94,11 +90,11 @@ func BenchmarkIncrementalDAG(b *testing.B) {
 					}
 				}
 			}
-			b.Run(fmt.Sprintf("subs=%d/%s", subs, mode.name), func(b *testing.B) {
-				run(b, 0, -1)
+			b.Run(fmt.Sprintf("subs=%d/P=%d", subs, parallelism), func(b *testing.B) {
+				run(b, 0)
 			})
-			b.Run(fmt.Sprintf("subs=%d/%s/latency", subs, mode.name), func(b *testing.B) {
-				run(b, 2*time.Millisecond, 8)
+			b.Run(fmt.Sprintf("subs=%d/P=%d/latency", subs, parallelism), func(b *testing.B) {
+				run(b, 2*time.Millisecond)
 			})
 		}
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"incranneal/internal/da"
 	"incranneal/internal/obs"
+	"incranneal/internal/solver"
 	"incranneal/internal/workload"
 )
 
@@ -30,7 +32,7 @@ func sessionTestProblem(t *testing.T) (*Options, *workload.Instance) {
 }
 
 // TestSessionMatchesSolveIncremental pins the session determinism contract:
-// observing a solve through a Session (callback sink, incumbent stream)
+// observing a solve through a Session (merge hook, incumbent stream)
 // yields a bit-identical Outcome to calling SolveIncremental directly.
 func TestSessionMatchesSolveIncremental(t *testing.T) {
 	ctx := context.Background()
@@ -90,6 +92,73 @@ func TestSessionMatchesSolveIncremental(t *testing.T) {
 		}
 		if inc.Final {
 			t.Errorf("point %d marked final", i)
+		}
+	}
+}
+
+// sinkProbeSolver fails the test when a device solve — bisections
+// included — sees an obs sink on its context.
+type sinkProbeSolver struct {
+	solver.Solver
+	t     *testing.T
+	calls atomic.Int64
+}
+
+func (s *sinkProbeSolver) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
+	s.calls.Add(1)
+	if obs.FromContext(ctx) != nil {
+		s.t.Error("device solve observed an obs sink on an unobserved session")
+	}
+	return s.Solver.Solve(ctx, req)
+}
+
+// TestSessionUnobservedCostsNothing pins the zero-cost contract of an
+// unobserved Session: without a sink on the Start context, the solve runs
+// sink-free all the way down to the device, so no run traces are recorded
+// or events emitted — while the incumbent stream still reports every merge
+// with the same values an observing sink's "merge" events carry.
+func TestSessionUnobservedCostsNothing(t *testing.T) {
+	opt, in := sessionTestProblem(t)
+	probe := &sinkProbeSolver{Solver: opt.Device, t: t}
+	opt.Device = probe
+
+	sess := NewSession(in.Problem, *opt)
+	if err := sess.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var got []Incumbent
+	for inc := range sess.Incumbents() {
+		got = append(got, inc)
+	}
+	out, err := sess.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.calls.Load() <= int64(out.NumPartitions) {
+		t.Fatalf("%d device solves for %d partitions; the partitioning phase never reached the device", probe.calls.Load(), out.NumPartitions)
+	}
+
+	traced := *opt
+	traced.Device = probe.Solver
+	collector := obs.NewCollector(nil)
+	want, err := SolveIncremental(obs.NewContext(context.Background(), collector), in.Problem, traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merges []obs.Event
+	for _, e := range collector.Events() {
+		if e.Name == "merge" {
+			merges = append(merges, e)
+		}
+	}
+	if len(got) != len(merges)+1 || out.Cost != want.Cost {
+		t.Fatalf("streamed %d points for %d merges (cost %v, traced %v)", len(got), len(merges), out.Cost, want.Cost)
+	}
+	for i, e := range merges {
+		inc := got[i]
+		if subLabel(inc.Sub) != e.Label || inc.Merged != e.N || inc.Cost != e.Value {
+			t.Errorf("point %d = {sub %d merged %d cost %v}, merge event = {%s %d %v}",
+				i, inc.Sub, inc.Merged, inc.Cost, e.Label, e.N, e.Value)
 		}
 	}
 }

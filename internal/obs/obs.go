@@ -105,10 +105,6 @@ type Sink struct {
 	// convergence figure collect in memory while a -trace file still
 	// records the run.
 	forward *Sink
-	// cb, when set, is invoked for every emitted event (see
-	// NewCallbackSink). It runs outside the sink mutex, on whichever
-	// goroutine emitted the event.
-	cb func(Event)
 }
 
 // NewSink returns a sink writing JSONL trace lines to w (which may be nil
@@ -122,23 +118,6 @@ func NewSink(w io.Writer, reg *Registry) *Sink {
 // programmatic analysis (Events), recording metrics into reg when non-nil.
 func NewCollector(reg *Registry) *Sink {
 	return &Sink{start: time.Now(), collect: true, reg: reg}
-}
-
-// NewCallbackSink returns a sink that invokes fn for every emitted event.
-// It is the streaming counterpart of NewCollector: instead of retaining
-// events for later analysis, each event is delivered as it happens —
-// core.Session uses it to surface the incremental phase's incumbent
-// ("merge" events) while the solve is still running.
-//
-// fn runs on whichever pipeline goroutine emitted the event (annealing
-// runs emit from worker-pool goroutines), so it must be safe for
-// concurrent use and should return quickly; slow callbacks stall the
-// emitting solve. Like every sink, a callback sink only observes — it
-// must not feed back into the optimisation, or the determinism contract
-// breaks. Chain forwards to a second sink as usual, so callers can both
-// stream and trace.
-func NewCallbackSink(fn func(Event)) *Sink {
-	return &Sink{start: time.Now(), cb: fn}
 }
 
 // Chain forwards every event emitted on s to next as well. It returns s for
@@ -166,20 +145,11 @@ func (s *Sink) Enabled() bool { return s != nil }
 func (s *Sink) since(t time.Time) time.Duration { return t.Sub(s.start) }
 
 // Metrics returns the sink's registry, or nil when disabled or trace-only.
-// A sink without its own registry (callback sinks chained in front of the
-// configured sink) answers with its forward target's registry, so metrics
-// recorded through a chain land where the operator configured them.
 func (s *Sink) Metrics() *Registry {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	reg, fwd := s.reg, s.forward
-	s.mu.Unlock()
-	if reg == nil {
-		return fwd.Metrics()
-	}
-	return reg
+	return s.reg
 }
 
 // Emit records one event, stamping its relative time when unset.
@@ -200,9 +170,6 @@ func (s *Sink) Emit(e Event) {
 	}
 	fwd := s.forward
 	s.mu.Unlock()
-	if s.cb != nil {
-		s.cb(e)
-	}
 	fwd.Emit(e)
 }
 
