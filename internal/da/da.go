@@ -221,6 +221,7 @@ func (s *Solver) anneal(ctx context.Context, m *qubo.Model, prm runParams, st *q
 	offset := 0.0
 	performed := 0
 	var flips int64
+	candidates := make([]int32, n)
 	checkEvery := 256
 	for step := 0; step < len(prm.temps); step++ {
 		if step%checkEvery == 0 {
@@ -244,25 +245,11 @@ func (s *Solver) anneal(ctx context.Context, m *qubo.Model, prm runParams, st *q
 			}
 			continue
 		}
-		// Parallel trial: acceptance test rand < exp(−(ΔE−offset)/T) is
-		// equivalent to ΔE < offset − T·ln(rand). Drawing one shared rand
-		// per step yields the same per-variable marginal acceptance
-		// probability while letting the scan run as two tight passes over
-		// the state's flat delta array: count candidates below the
-		// threshold, then pick one uniformly.
-		theta := offset + temp*expVariate(rng)
-		accepted := st.CountBelow(theta)
-		if accepted == 0 {
-			if !s.DisableDynamicOffset {
-				offset += prm.offUnit
-			}
-			performed++
+		performed++
+		if !s.parallelTrialStep(st, temp, &offset, prm.offUnit, rng, candidates) {
 			continue
 		}
-		st.Flip(st.PickKthBelow(theta, rng.Intn(accepted)))
 		flips++
-		offset = 0
-		performed++
 		if best.Observe(st) {
 			rt.Observe(step, best.Energy())
 		}

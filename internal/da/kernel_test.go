@@ -117,29 +117,42 @@ func TestSolvePTDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // BenchmarkKernelDAStep measures one parallel-trial Monte-Carlo step — the
-// threshold draw plus the two delta-array scans — at a partition-sized
-// variable count.
+// threshold draw, the candidate select and the flip — on each coupling
+// layout: a sparse 512-variable model (adjacency lists) and the bisection
+// QUBO of a complete 256-node graph (dense coupling rows).
 func BenchmarkKernelDAStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	bld := qubo.NewBuilder(512)
-	for i := 0; i < 512; i++ {
-		bld.AddLinear(i, rng.NormFloat64()*10)
-	}
-	for k := 0; k < 512*13; k++ {
-		i, j := rng.Intn(512), rng.Intn(512)
-		if i != j {
-			bld.AddQuadratic(i, j, rng.NormFloat64()*10)
+	b.Run("sparse", func(b *testing.B) {
+		benchDAStep(b, obsBenchModel(512), rand.New(rand.NewSource(42)))
+	})
+	b.Run("dense", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(42))
+		const nodes = 256
+		weights := make([]float64, nodes)
+		var edges []encoding.WeightedEdge
+		for u := range weights {
+			weights[u] = float64(1 + rng.Intn(8))
+			for v := u + 1; v < nodes; v++ {
+				edges = append(edges, encoding.WeightedEdge{U: u, V: v, Weight: rng.Float64() * 10})
+			}
 		}
-	}
-	m := bld.Build()
+		enc, err := encoding.EncodePartition(weights, edges)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchDAStep(b, enc.Model, rng)
+	})
+}
+
+func benchDAStep(b *testing.B, m *qubo.Model, rng *rand.Rand) {
 	s := &Solver{}
 	st := qubo.NewRandomState(m, rng)
 	hot, cold := temperatureRange(m)
 	temp := math.Sqrt(hot * cold)
 	offUnit := meanAbsCoefficient(m)
 	offset := 0.0
+	candidates := make([]int32, m.NumVariables())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.parallelTrialStep(st, temp, &offset, offUnit, rng)
+		s.parallelTrialStep(st, temp, &offset, offUnit, rng, candidates)
 	}
 }

@@ -40,8 +40,9 @@ func TestDisabledSinkStepNoAllocs(t *testing.T) {
 	temp := math.Sqrt(hot * cold)
 	offUnit := meanAbsCoefficient(m)
 	offset := 0.0
+	candidates := make([]int32, m.NumVariables())
 	allocs := testing.AllocsPerRun(200, func() {
-		s.parallelTrialStep(st, temp, &offset, offUnit, rng)
+		s.parallelTrialStep(st, temp, &offset, offUnit, rng, candidates)
 	})
 	if allocs != 0 {
 		t.Errorf("kernel step allocates %.1f objects/op with tracing disabled, want 0", allocs)

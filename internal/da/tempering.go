@@ -76,6 +76,11 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 		trackers[i].Observe(st)
 	}
 	offsets := make([]float64, replicas)
+	// One candidate buffer per ladder slot: slots step concurrently.
+	candidates := make([][]int32, replicas)
+	for i := range candidates {
+		candidates[i] = make([]int32, m.NumVariables())
+	}
 	offUnit := meanAbsCoefficient(m)
 	if offUnit == 0 {
 		offUnit = 1
@@ -113,7 +118,7 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 		body := func(i int) {
 			st := states[i]
 			for k := 0; k < segment; k++ {
-				if s.parallelTrialStep(st, temps[i], &offsets[i], offUnit, rngs[i]) && flipCounts != nil {
+				if s.parallelTrialStep(st, temps[i], &offsets[i], offUnit, rngs[i], candidates[i]) && flipCounts != nil {
 					flipCounts[i]++
 				}
 				trackers[i].Observe(st)
@@ -173,19 +178,24 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 }
 
 // parallelTrialStep performs one Digital Annealer Monte-Carlo step on st at
-// the given temperature: the shared-random threshold scan of Solve.anneal,
-// factored out so annealing and tempering share the exact hardware step.
-// It reports whether a flip was performed.
-func (s *Solver) parallelTrialStep(st *qubo.State, temp float64, offset *float64, offUnit float64, rng *rand.Rand) bool {
+// the given temperature, the step both Solve and SolvePT run. The
+// acceptance test rand < exp(−(ΔE−offset)/T) is equivalent to
+// ΔE < offset − T·ln(rand); drawing one shared rand per step yields the
+// same per-variable marginal acceptance probability while letting the
+// candidate scan run as one pass over the state's flat delta array, which
+// collects the accepted variables into candidates (NumVariables entries,
+// owned by the caller) before one is picked uniformly. It reports whether
+// a flip was performed.
+func (s *Solver) parallelTrialStep(st *qubo.State, temp float64, offset *float64, offUnit float64, rng *rand.Rand, candidates []int32) bool {
 	theta := *offset + temp*expVariate(rng)
-	accepted := st.CountBelow(theta)
+	accepted := st.SelectBelow(theta, candidates)
 	if accepted == 0 {
 		if !s.DisableDynamicOffset {
 			*offset += offUnit
 		}
 		return false
 	}
-	st.Flip(st.PickKthBelow(theta, rng.Intn(accepted)))
+	st.Flip(int(candidates[rng.Intn(accepted)]))
 	*offset = 0
 	return true
 }

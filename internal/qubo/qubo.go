@@ -7,9 +7,10 @@
 //	f(x) = Σ_i c_ii·x_i + Σ_{i<j} c_ij·x_i·x_j,  x_i ∈ {0,1},
 //
 // whose minimum-energy configurations encode optimal solutions of the
-// original problem. The package provides sparse models, exact and
-// incremental energy evaluation (the O(degree) local-field updates that
-// hardware annealers perform in parallel), and spin/binary conversions.
+// original problem. The package provides models stored as adjacency lists
+// or, when most variable pairs interact, as dense coupling rows; exact and
+// incremental energy evaluation (the local-field updates that hardware
+// annealers perform in parallel); and spin/binary conversions.
 package qubo
 
 import (
@@ -24,24 +25,34 @@ type Term struct {
 	Coeff float64
 }
 
-// Model is a sparse QUBO instance. Construct it with a Builder (which
+// Model is a QUBO instance. Construct it with a Builder (which
 // accumulates arbitrary additions through a map) or, when the caller already
 // knows the sorted term structure, with NewModelFromSortedTerms. Models are
 // structurally immutable; Reweight overwrites coefficients in place for
 // prepared encodings that re-materialise the same structure with new
 // weights.
+//
+// The couplings State.Flip reads are stored in one of two layouts, chosen
+// from the model's density (see denseLayout): adjacency lists for sparse
+// models, a row-major coupling matrix for dense ones. Exactly one is built.
 type Model struct {
 	n      int
 	linear []float64
 	// terms holds all quadratic terms with I < J, sorted lexicographically.
 	terms []Term
+	// degree[i] counts the quadratic terms incident to variable i.
+	degree []int32
 	// adj[i] lists (neighbour, coefficient) pairs for variable i, covering
-	// every quadratic term incident to i.
+	// every quadratic term incident to i. Nil for dense models.
 	adj [][]neighbour
 	// adjPos[2t] and adjPos[2t+1] locate term t inside adj[terms[t].I] and
 	// adj[terms[t].J]; built lazily by Reweight so coefficient updates need
 	// no per-call scratch.
 	adjPos []int32
+	// dense is the n×n coupling matrix of a dense model: dense[i*n+j] =
+	// c_ij = c_ji, zero on the diagonal and for absent pairs. Nil for
+	// sparse models.
+	dense []float64
 }
 
 type neighbour struct {
@@ -101,26 +112,25 @@ func (b *Builder) check(i int) {
 // Build finalises the accumulated coefficients into an immutable Model,
 // dropping exact-zero quadratic terms.
 func (b *Builder) Build() *Model {
-	m := &Model{n: b.n, linear: make([]float64, b.n), adj: make([][]neighbour, b.n)}
-	copy(m.linear, b.linear)
-	m.terms = make([]Term, 0, len(b.quad))
+	linear := make([]float64, b.n)
+	copy(linear, b.linear)
+	terms := make([]Term, 0, len(b.quad))
+	degree := make([]int32, b.n)
 	for k, c := range b.quad {
 		if c == 0 {
 			continue
 		}
-		m.terms = append(m.terms, Term{I: k[0], J: k[1], Coeff: c})
+		terms = append(terms, Term{I: k[0], J: k[1], Coeff: c})
+		degree[k[0]]++
+		degree[k[1]]++
 	}
-	sort.Slice(m.terms, func(i, j int) bool {
-		if m.terms[i].I != m.terms[j].I {
-			return m.terms[i].I < m.terms[j].I
+	sort.Slice(terms, func(i, j int) bool {
+		if terms[i].I != terms[j].I {
+			return terms[i].I < terms[j].I
 		}
-		return m.terms[i].J < m.terms[j].J
+		return terms[i].J < terms[j].J
 	})
-	for _, t := range m.terms {
-		m.adj[t.I] = append(m.adj[t.I], neighbour{j: t.J, coeff: t.Coeff})
-		m.adj[t.J] = append(m.adj[t.J], neighbour{j: t.I, coeff: t.Coeff})
-	}
-	return m
+	return newModel(linear, terms, degree)
 }
 
 // NewModelFromSortedTerms builds a Model directly from a linear coefficient
@@ -146,7 +156,34 @@ func NewModelFromSortedTerms(linear []float64, terms []Term) *Model {
 		degree[t.I]++
 		degree[t.J]++
 	}
-	m := &Model{n: n, linear: linear, terms: terms, adj: make([][]neighbour, n)}
+	return newModel(linear, terms, degree)
+}
+
+// denseLayout reports whether a model with n variables and the given
+// number of quadratic terms stores dense coupling rows: when the terms
+// cover at least half of all n(n−1)/2 pairs. At that point a variable's
+// adjacency list (16 bytes per neighbour, n/2 neighbours on average) is as
+// large as its dense row (8 bytes per variable), so the matrix costs no
+// more memory, and a flip streams the row instead of gathering through
+// neighbour indices.
+func denseLayout(n, terms int) bool {
+	return 4*terms >= n*(n-1)
+}
+
+// newModel assembles a model from sorted, distinct terms and the per-variable
+// term counts, building the coupling layout denseLayout picks.
+func newModel(linear []float64, terms []Term, degree []int32) *Model {
+	n := len(linear)
+	m := &Model{n: n, linear: linear, terms: terms, degree: degree}
+	if denseLayout(n, len(terms)) {
+		m.dense = make([]float64, n*n)
+		for _, t := range terms {
+			m.dense[t.I*n+t.J] = t.Coeff
+			m.dense[t.J*n+t.I] = t.Coeff
+		}
+		return m
+	}
+	m.adj = make([][]neighbour, n)
 	for i, d := range degree {
 		if d > 0 {
 			m.adj[i] = make([]neighbour, 0, d)
@@ -160,16 +197,25 @@ func NewModelFromSortedTerms(linear []float64, terms []Term) *Model {
 }
 
 // Reweight overwrites every coefficient of the model in place, keeping the
-// quadratic structure (variable count, term pairs, adjacency) fixed: linear
-// must hold NumVariables values and coeffs one value per quadratic term,
-// aligned with Terms(). Unlike Builder.Build, zero coefficients are kept —
-// the structure is the contract. The caller must ensure no solver is
+// quadratic structure (variable count, term pairs, coupling layout) fixed:
+// linear must hold NumVariables values and coeffs one value per quadratic
+// term, aligned with Terms(). Unlike Builder.Build, zero coefficients are
+// kept — the structure is the contract. The caller must ensure no solver is
 // concurrently reading the model.
 func (m *Model) Reweight(linear []float64, coeffs []float64) {
 	if len(linear) != m.n || len(coeffs) != len(m.terms) {
 		panic(fmt.Sprintf("qubo: Reweight with %d linears / %d coeffs, model has %d / %d", len(linear), len(coeffs), m.n, len(m.terms)))
 	}
 	copy(m.linear, linear)
+	if m.dense != nil {
+		for t := range m.terms {
+			c := coeffs[t]
+			m.terms[t].Coeff = c
+			i, j := m.terms[t].I, m.terms[t].J
+			m.dense[i*m.n+j], m.dense[j*m.n+i] = c, c
+		}
+		return
+	}
 	if m.adjPos == nil {
 		m.buildAdjPos()
 	}
@@ -209,7 +255,7 @@ func (m *Model) Linear(i int) float64 { return m.linear[i] }
 func (m *Model) Terms() []Term { return m.terms }
 
 // Degree returns the number of quadratic terms incident to variable i.
-func (m *Model) Degree(i int) int { return len(m.adj[i]) }
+func (m *Model) Degree(i int) int { return int(m.degree[i]) }
 
 // Energy evaluates f(x) for the given assignment (len(x) must equal
 // NumVariables; entries are 0 or 1).

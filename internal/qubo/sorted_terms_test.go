@@ -2,16 +2,18 @@ package qubo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 // randomSortedTerms draws a random strictly-increasing CSR term list over n
-// variables with coefficients in [-5, 5).
-func randomSortedTerms(rng *rand.Rand, n int) []Term {
+// variables, each pair present with the given probability, with
+// coefficients in [-5, 5).
+func randomSortedTerms(rng *rand.Rand, n int, density float64) []Term {
 	var terms []Term
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if rng.Float64() < 0.4 {
+			if rng.Float64() < density {
 				c := rng.Float64()*10 - 5
 				if c == 0 {
 					c = 1
@@ -31,7 +33,7 @@ func TestNewModelFromSortedTermsMatchesBuilder(t *testing.T) {
 		for i := range linear {
 			linear[i] = rng.Float64()*10 - 5
 		}
-		terms := randomSortedTerms(rng, n)
+		terms := randomSortedTerms(rng, n, 0.4)
 		b := NewBuilder(n)
 		for i, c := range linear {
 			b.AddLinear(i, c)
@@ -100,10 +102,19 @@ func TestNewModelFromSortedTermsValidation(t *testing.T) {
 }
 
 func TestReweightUpdatesAllViews(t *testing.T) {
+	for _, density := range []float64{0.4, 0.9} {
+		testReweightUpdatesAllViews(t, density)
+	}
+}
+
+func testReweightUpdatesAllViews(t *testing.T, density float64) {
 	rng := rand.New(rand.NewSource(99))
 	n := 8
 	linear := make([]float64, n)
-	terms := randomSortedTerms(rng, n)
+	terms := randomSortedTerms(rng, n, density)
+	if want := density > 0.5; denseLayout(n, len(terms)) != want {
+		t.Fatalf("density %v: dense layout = %v, want %v", density, !want, want)
+	}
 	for i := range linear {
 		linear[i] = rng.Float64()
 	}
@@ -119,8 +130,8 @@ func TestReweightUpdatesAllViews(t *testing.T) {
 		}
 		m.Reweight(newLin, newCoeffs)
 		// The reweighted model must be indistinguishable from one built
-		// fresh with the new coefficients — including the adjacency the
-		// incremental energy updates read.
+		// fresh with the new coefficients — including the adjacency lists
+		// or coupling rows the incremental energy updates read.
 		fresh := terms
 		fresh = append([]Term(nil), fresh...)
 		for i := range fresh {
@@ -131,14 +142,9 @@ func TestReweightUpdatesAllViews(t *testing.T) {
 			if m.Linear(i) != want.Linear(i) {
 				t.Fatalf("round %d: linear[%d] = %v, want %v", round, i, m.Linear(i), want.Linear(i))
 			}
-			if len(m.adj[i]) != len(want.adj[i]) {
-				t.Fatalf("round %d: adj[%d] has %d entries, want %d", round, i, len(m.adj[i]), len(want.adj[i]))
-			}
-			for k := range want.adj[i] {
-				if m.adj[i][k] != want.adj[i][k] {
-					t.Fatalf("round %d: adj[%d][%d] = %+v, want %+v", round, i, k, m.adj[i][k], want.adj[i][k])
-				}
-			}
+		}
+		if !reflect.DeepEqual(m.adj, want.adj) || !reflect.DeepEqual(m.dense, want.dense) {
+			t.Fatalf("round %d: coupling layout differs from a fresh build", round)
 		}
 		for i := range want.terms {
 			if m.terms[i] != want.terms[i] {
@@ -169,14 +175,16 @@ func TestReweightUpdatesAllViews(t *testing.T) {
 }
 
 func TestReweightIsAllocationFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 16
-	terms := randomSortedTerms(rng, n)
-	m := NewModelFromSortedTerms(make([]float64, n), terms)
-	lin := make([]float64, n)
-	coeffs := make([]float64, len(terms))
-	m.Reweight(lin, coeffs) // first call builds the position index
-	if allocs := testing.AllocsPerRun(50, func() { m.Reweight(lin, coeffs) }); allocs > 0 {
-		t.Errorf("Reweight allocates %v objects per call, want 0", allocs)
+	for _, density := range []float64{0.4, 0.9} {
+		rng := rand.New(rand.NewSource(5))
+		n := 16
+		terms := randomSortedTerms(rng, n, density)
+		m := NewModelFromSortedTerms(make([]float64, n), terms)
+		lin := make([]float64, n)
+		coeffs := make([]float64, len(terms))
+		m.Reweight(lin, coeffs) // first call builds the position index
+		if allocs := testing.AllocsPerRun(50, func() { m.Reweight(lin, coeffs) }); allocs > 0 {
+			t.Errorf("density %v: Reweight allocates %v objects per call, want 0", density, allocs)
+		}
 	}
 }

@@ -89,6 +89,11 @@ func openJournal(dir string, chaos *faultinject.Chaos) (*journal, []journalRecor
 	if err := os.Rename(tmp, path); err != nil {
 		return nil, nil, fmt.Errorf("serve: journal compact: %w", err)
 	}
+	// The rename lives in the directory entry: sync the directory too, or a
+	// crash can bring back the pre-compaction journal.
+	if err := syncDir(dir); err != nil {
+		return nil, nil, fmt.Errorf("serve: journal compact: %w", err)
+	}
 
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -207,4 +212,17 @@ func numericID(id string) int64 {
 		return 0
 	}
 	return n
+}
+
+// syncDir flushes the directory entry table of dir to stable storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
