@@ -182,7 +182,9 @@ func BenchmarkPartition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := partition.Partition(context.Background(), p, partition.Options{
-			Capacity: 64, Solver: dev, Runs: 2, Sweeps: 200, Seed: int64(i),
+			// The phase budget whose per-variable share gives the
+			// 96-query root bisection 200 sweeps.
+			Capacity: 64, Solver: dev, Runs: 2, Sweeps: 200 * p.NumPlans() / p.NumQueries(), Seed: int64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}

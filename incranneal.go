@@ -119,7 +119,8 @@ type Options struct {
 	// means 16, the paper's setting.
 	Runs int
 	// TotalSweeps is the overall annealing iteration budget divided across
-	// partitions; zero uses device defaults.
+	// partitions; each partitioning bisection anneals at the same
+	// per-variable rate. Zero uses device defaults.
 	TotalSweeps int
 	// Seed makes the pipeline deterministic.
 	Seed int64

@@ -89,7 +89,7 @@ func AblationPostProcess(ctx context.Context, cfg Config, scale Scale) (*Report,
 		measure := func(parses int) (float64, float64, error) {
 			part, err := partition.Partition(ctx, p, partition.Options{
 				Capacity: cfg.DACapacity, Solver: dev, Runs: cfg.Runs,
-				Sweeps: daSweeps(cfg, p) / 8, Seed: classSeed("abl-pp", inst, parses, 0),
+				Sweeps: daSweeps(cfg, p), Seed: classSeed("abl-pp", inst, parses, 0),
 				PostProcessParses: parses,
 			})
 			if err != nil {

@@ -11,8 +11,11 @@ import (
 // AblationBudget sweeps the Digital Annealer's step budget (in sweeps per
 // variable) and reports the incremental pipeline's solution cost at each
 // level — the quality-vs-effort curve behind the choice of a constant
-// total iteration budget in the paper's comparisons. Diminishing returns
-// past ~100 sweeps/variable justify the harness default.
+// total iteration budget in the paper's comparisons. The level sets both
+// phases' rate: each partial problem's share of TotalSweeps and each
+// partitioning bisection's, which anneals at the same sweeps per variable.
+// The "sweeps performed" column counts the MQO phase only. Diminishing
+// returns past ~100 sweeps/variable justify the harness default.
 func AblationBudget(ctx context.Context, cfg Config, scale Scale) (*Report, error) {
 	cfg = cfg.withDefaults()
 	r := &Report{

@@ -47,8 +47,11 @@ type Options struct {
 	// TotalSweeps is the overall annealing iteration budget. The
 	// incremental and parallel strategies divide it evenly across partial
 	// problems so that the total matches an unpartitioned solve, as in the
-	// paper's constant-budget comparisons. Zero uses device defaults per
-	// partial problem.
+	// paper's constant-budget comparisons. Each bisection of the
+	// partitioning phase anneals at the same per-variable rate:
+	// ⌊TotalSweeps·n_b/NumPlans⌋ sweeps for an n_b-query subset (see
+	// partition.Options.Sweeps). Zero uses device defaults per partial
+	// problem and per bisection.
 	TotalSweeps int
 	// Seed makes the full pipeline deterministic.
 	Seed int64
@@ -213,7 +216,7 @@ func (o Options) partitionOptions() partition.Options {
 		Capacity:          o.capacity(),
 		Solver:            ps,
 		Runs:              o.Runs,
-		Sweeps:            o.partitionSweeps(1, 0), // partitioning QUBOs are small; budget like one partition
+		Sweeps:            o.TotalSweeps, // each bisection takes its per-variable share
 		Seed:              o.Seed,
 		PostProcessParses: o.PostProcessParses,
 		MinPartFraction:   o.MinPartFraction,

@@ -24,9 +24,15 @@ type Options struct {
 	// or when a partitioning graph itself exceeds the device capacity,
 	// classical simulated annealing is used for that graph.
 	Solver solver.Solver
-	// Runs and Sweeps budget each bisection solve. Zero uses solver
-	// defaults.
-	Runs, Sweeps int
+	// Runs is each bisection solve's run count; zero uses the solver
+	// default.
+	Runs int
+	// Sweeps is the annealing budget of the MQO phase the partitioning
+	// serves (core's TotalSweeps), not of one bisection: a bisection of an
+	// n_b-query subset anneals the share a partial problem of n_b
+	// variables gets in that phase, ⌊Sweeps·n_b / NumPlans⌋ with a floor
+	// of 1 (see bisectSweeps). Zero uses the device default.
+	Sweeps int
 	// Seed makes partitioning deterministic.
 	Seed int64
 	// PostProcessParses is the numParses parameter of Algorithm 1; zero
@@ -54,6 +60,21 @@ func (o *Options) parses() int {
 	default:
 		return o.PostProcessParses
 	}
+}
+
+// bisectSweeps returns the sweep budget for bisecting a subset of queries
+// queries of a problem with plans plans: the MQO phase's per-variable rate,
+// Sweeps/plans, times the bisection QUBO's variable count (one per query).
+// Zero, the device default, when Sweeps is.
+func (o *Options) bisectSweeps(queries, plans int) int {
+	if o.Sweeps <= 0 {
+		return 0
+	}
+	s := int(int64(o.Sweeps) * int64(queries) / int64(plans))
+	if s < 1 {
+		s = 1
+	}
+	return s
 }
 
 func (o *Options) minSize(n int) int {
@@ -155,6 +176,7 @@ func refit(ctx context.Context, g *Graph, p *mqo.Problem, initial [][]int, opt O
 	sink := obs.FromContext(ctx)
 	res := &Result{}
 	seed := opt.Seed
+	plans := p.NumPlans()
 	var recurse func(queries []int) error
 	recurse = func(queries []int) error {
 		if g.PlanWeight(queries) <= float64(opt.Capacity) || len(queries) == 1 {
@@ -162,17 +184,13 @@ func refit(ctx context.Context, g *Graph, p *mqo.Problem, initial [][]int, opt O
 			return nil
 		}
 		seed++
-		t0 := time.Now()
-		part1, part2, degraded, err := bisect(ctx, g, queries, opt, seed)
+		part1, part2, degraded, err := bisect(ctx, g, queries, opt, opt.bisectSweeps(len(queries), plans), seed)
 		if err != nil {
 			return err
 		}
 		res.Bisections++
 		if degraded {
 			res.DegradedBisections++
-		}
-		if sink.Enabled() {
-			sink.Emit(obs.Event{Name: "bisect", Dur: time.Since(t0), N: len(queries)})
 		}
 		if err := recurse(part1); err != nil {
 			return err
@@ -224,13 +242,16 @@ func refit(ctx context.Context, g *Graph, p *mqo.Problem, initial [][]int, opt O
 }
 
 // bisect splits one query subset into two non-empty parts using the
-// annealer on the induced partitioning graph, then post-processes with
-// Algorithm 1 (both orientations, best cut kept). When the device solve
-// fails terminally — or returns an empty sample set — the bisection degrades
-// to the deterministic weight-balancing split (reported via the third
-// return) rather than aborting the whole partitioning phase, unless
-// Options.FailFast asks for the error.
-func bisect(ctx context.Context, g *Graph, queries []int, opt Options, seed int64) ([]int, []int, bool, error) {
+// annealer on the induced partitioning graph, annealing for sweeps sweeps
+// (zero: device default), then post-processes with Algorithm 1 (both
+// orientations, best cut kept). When the device solve fails terminally — or
+// returns an empty sample set — the bisection degrades to the deterministic
+// weight-balancing split (reported via the third return) rather than
+// aborting the whole partitioning phase, unless Options.FailFast asks for
+// the error. With the sink enabled it emits one "bisect" event carrying the
+// device's performed sweeps and the post-processed cut weight.
+func bisect(ctx context.Context, g *Graph, queries []int, opt Options, sweeps int, seed int64) ([]int, []int, bool, error) {
+	t0 := time.Now()
 	sub := g.Subgraph(queries)
 	enc, err := encoding.EncodePartition(sub.NodeWeights, sub.Edges)
 	if err != nil {
@@ -239,10 +260,12 @@ func bisect(ctx context.Context, g *Graph, queries []int, opt Options, seed int6
 	dev := opt.Solver
 	if dev == nil || (dev.Capacity() > 0 && enc.Model.NumVariables() > dev.Capacity()) {
 		// Precondition of Sec. 4.1.2: the device must hold one variable
-		// per query node. Degrade to classical SA when it cannot.
-		dev = &sa.Solver{}
+		// per query node. Degrade to classical SA when it cannot, at SA's
+		// own default budget: the device's step count would mean n
+		// proposals per step to SA.
+		dev, sweeps = &sa.Solver{}, 0
 	}
-	req := solver.Request{Model: enc.Model, Runs: opt.Runs, Sweeps: opt.Sweeps, Seed: seed, Parallelism: opt.Parallelism}
+	req := solver.Request{Model: enc.Model, Runs: opt.Runs, Sweeps: sweeps, Seed: seed, Parallelism: opt.Parallelism}
 	sink := obs.FromContext(ctx)
 	if sink.Enabled() {
 		// Distinguish the device's bisection solves from the MQO-phase
@@ -251,10 +274,12 @@ func bisect(ctx context.Context, g *Graph, queries []int, opt Options, seed int6
 	}
 	var l1, l2 []int
 	degraded := false
+	performed := 0
 	result, err := dev.Solve(ctx, req)
 	best, haveSample := solver.Sample{}, false
 	if err == nil {
 		best, haveSample = result.Best()
+		performed = result.Sweeps
 	} else if opt.FailFast {
 		return nil, nil, false, fmt.Errorf("partition: bisection solve: %w", err)
 	}
@@ -284,6 +309,12 @@ func bisect(ctx context.Context, g *Graph, queries []int, opt Options, seed int6
 	}
 	if len(l1) == 0 || len(l2) == 0 {
 		l1, l2 = fallbackSplit(sub)
+	}
+	if sink.Enabled() {
+		sink.Emit(obs.Event{
+			Name: "bisect", Dur: time.Since(t0), N: len(queries),
+			Sweeps: performed, Value: sub.CutWeight(l1, l2),
+		})
 	}
 	toGlobal := func(local []int) []int {
 		out := make([]int, len(local))

@@ -39,3 +39,20 @@ func TestPostProcessZeroParsesIsNoOp(t *testing.T) {
 		t.Errorf("zero parses changed partitions: %v | %v", p1, p2)
 	}
 }
+
+func TestOptionsBisectSweeps(t *testing.T) {
+	// Cold-large figures: q=256 at 6 plans/query, 100 sweeps/plan.
+	o := Options{Sweeps: 100 * 1536}
+	if got := o.bisectSweeps(256, 1536); got != 25600 {
+		t.Errorf("root share %d, want 25600", got)
+	}
+	if got := o.bisectSweeps(128, 1536); got != 12800 {
+		t.Errorf("child share %d, want 12800", got)
+	}
+	if got := (&Options{Sweeps: 3}).bisectSweeps(10, 1536); got != 1 {
+		t.Errorf("tiny budget share %d, want the floor of 1", got)
+	}
+	if got := (&Options{}).bisectSweeps(256, 1536); got != 0 {
+		t.Errorf("zero budget share %d, want 0 (device default)", got)
+	}
+}
